@@ -9,12 +9,15 @@ compare.  Nothing here is imported by the program under test.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import platform
 import resource
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
+from multiprocessing import forkserver, resource_tracker
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
@@ -279,3 +282,83 @@ class RunResult:
     metrics: Dict[str, float]
     detail: Dict[str, Any] = field(default_factory=dict)
     mismatches: List[str] = field(default_factory=list)
+
+
+# ----------------------------------------------------------------------
+# process hygiene
+# ----------------------------------------------------------------------
+
+#: how long a child may take to exit after SIGTERM before SIGKILL
+REAP_GRACE_S = 5.0
+
+
+def _child_pids() -> List[int]:
+    """Live or zombie processes whose parent is this process."""
+    me = str(os.getpid())
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # the field after "(comm)" is the state, the next one the ppid
+        fields = stat[stat.rfind(")") + 2:].split()
+        if len(fields) > 1 and fields[1] == me:
+            pids.append(int(entry))
+    return pids
+
+
+def _wait_gone(pid: int, deadline: float) -> bool:
+    """Reap ``pid``; True once it has ended (or is not our child)."""
+    while True:
+        try:
+            done, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        if done:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+
+
+def stop_children() -> None:
+    """Stop every process this run started and wait for each to end.
+
+    Process pools are shut down by the workloads themselves; what is
+    left are ``multiprocessing``'s helpers (the shared-memory resource
+    tracker, a fork server) that otherwise outlive the run, plus anything
+    a failed run left behind.  Owned shared segments are unlinked first
+    so the tracker has nothing left to clean up after we stop it.
+    """
+    for proc in multiprocessing.active_children():
+        proc.terminate()
+        proc.join(REAP_GRACE_S)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    # The program's own exit-time backstop, run now: an unlink after the
+    # tracker has stopped would start a fresh tracker that outlives us.
+    shm = sys.modules.get("repro.storage.shm")
+    if shm is not None:
+        shm._cleanup_owned_segments()
+    # Closing each helper's pipe makes it exit; _stop() also reaps it.
+    # The fork server is the default start method from Python 3.14 on.
+    forkserver._forkserver._stop()
+    resource_tracker._resource_tracker._stop()
+    for sig in (signal.SIGTERM, signal.SIGKILL):
+        pids = _child_pids()
+        if not pids:
+            return
+        for pid in pids:
+            try:
+                os.kill(pid, sig)
+            except ProcessLookupError:
+                pass
+        deadline = time.monotonic() + REAP_GRACE_S
+        pids = [pid for pid in pids if not _wait_gone(pid, deadline)]
+        if not pids:
+            return

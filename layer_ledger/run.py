@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -59,6 +60,10 @@ def _check_spec(declared: dict, trace: int, workload: str) -> None:
         raise SystemExit(2)
 
 
+def _raise_exit(signum, _frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT))
     from layer_ledger import catalog
@@ -81,9 +86,14 @@ def main(argv=None) -> int:
     removed = _prepare_imports()
     from layer_ledger import common
 
-    workload = importlib.import_module(
-        "layer_ledger." + args.workload.replace("-", "_"))
-    result = workload.run(args.seed, args.seconds, bool(args.trace))
+    # A SIGTERM unwinds like an exception so the processes are stopped.
+    signal.signal(signal.SIGTERM, _raise_exit)
+    try:
+        workload = importlib.import_module(
+            "layer_ledger." + args.workload.replace("-", "_"))
+        result = workload.run(args.seed, args.seconds, bool(args.trace))
+    finally:
+        common.stop_children()
 
     unknown = sorted(set(result.metrics) - set(declared))
     if unknown:
